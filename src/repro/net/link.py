@@ -38,7 +38,7 @@ from typing import Optional, Protocol
 
 from repro.core.units import Bytes, BytesPerSec, Seconds
 from repro.net.netem import BandwidthProfile, ConstantBandwidth, JitterModel, LossModel
-from repro.net.packet import POOL, Packet
+from repro.net.packet import Packet
 from repro.net.queue import DropTailQueue
 from repro.obs import records as obsrec
 from repro.sim.engine import Simulator
@@ -176,10 +176,6 @@ class Link:
                 self.sim.sanitizer.note_network_drop(f"{self.name}: random loss")
             if self.obs is not None:
                 self._note_drop(packet, "random_loss")
-            # The packet dies mid-path: pooled packets rejoin the free
-            # list here instead of waiting for end-host delivery that
-            # will never come (refcount-guarded).
-            POOL.release(packet)
         else:
             prop = self.delay
             if self.jitter is not None:
@@ -242,8 +238,6 @@ class Link:
                     sim.sanitizer.note_network_drop(f"{self.name}: random loss")
                 if obs is not None:
                     self._note_drop(packet, "random_loss", when=t)
-                # Mid-path death: recycle (see _finish_transmission).
-                POOL.release(packet)
             else:
                 arrival = t + delay
                 last = self._last_arrival

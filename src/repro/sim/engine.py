@@ -342,6 +342,7 @@ class Simulator:
             raise SimulationError("Simulator.run is not reentrant")
         self._running = True
         fired = 0
+        processed_before = self._processed
         # Resolved once per run: profiling/sanitizing are decided before
         # the loop and the heap access is bound to locals, so the
         # default hot path keeps its direct callback dispatch.
@@ -378,8 +379,10 @@ class Simulator:
             self.current_eid = 0
             self._sched_origin = 0
             # One process-counter add per run(), not per event: run-level
-            # telemetry sees engine throughput at zero hot-loop cost.
-            add_engine_events(fired)
+            # telemetry sees engine throughput at zero hot-loop cost.  The
+            # ``_processed`` delta (not ``fired``) also counts an event
+            # whose callback raised, as ``events_processed`` does.
+            add_engine_events(self._processed - processed_before)
         if until is not None and self._now < until:
             self._now = until
 

@@ -3,8 +3,8 @@
 :class:`FastSimulator` is a drop-in backend for
 :class:`repro.sim.engine.Simulator` that produces the *bit-for-bit* same
 event stream — same firing order, same eids, same provenance, same
-sanitizer semantics, same error messages — while spending roughly a third
-of the classic engine's time per event.  ``tests/test_engine_equivalence.py``
+sanitizer semantics, same error messages — while spending less of the
+classic engine's time per event.  ``tests/test_engine_equivalence.py``
 is the proof: golden-trace digests (which include eids) are byte-identical
 across backends for a seed × scenario × CC matrix.
 
@@ -13,9 +13,8 @@ Where the time goes (and why this layout)
 The classic engine pays, per event: one ``EventHandle`` object
 construction, one ``(when, eid, handle)`` tuple, one ``itertools.count``
 call, several ``self``-attribute stores (clock, counters, provenance) and
-bound-method dispatch for ``schedule``.  Measured on the benchmark
-workload that is ~790 ns/event.  This backend removes each of those
-costs:
+bound-method dispatch for ``schedule``.  This backend removes each of
+those costs:
 
 * **Plain-list event records** ``[when, eid, status, callback, args,
   parent_eid, origin_eid]`` serve as both the heap entry and the handle
@@ -27,11 +26,13 @@ costs:
   which is why cancellation lives on the simulator
   (:meth:`cancel_event` / :meth:`event_pending`) instead of the handle.
 * **Closure core.** The hot methods (``schedule``, ``schedule_at``,
-  ``run``, …) are built by :meth:`_install` as closures over shared
+  ``run``, …) are built once, at construction, as closures over shared
   nonlocal cells (clock, eid source, provenance pair).  Cell access
   compiles to ``LOAD_DEREF``/``STORE_DEREF`` — faster than ``self``
   attribute access — and assigning the closures as *instance*
-  attributes skips bound-method creation on every call.
+  attributes skips bound-method creation on every call.  The
+  :attr:`sanitizer` and :attr:`obs` hooks are fixed at construction
+  (read-only here) because the closures capture them.
 * **Single-slot fast path.** The common schedule-one-fire-one pattern
   (link serialisation, RTO re-arm) never touches the heap: one record
   is parked in a ``slot`` cell; the pop side compares ``heap[0] <
@@ -41,11 +42,12 @@ costs:
   derived from the eid high-water mark, heap length, and two
   cancellation counters, so the per-event loop maintains *no* counters
   at all.  Both remain O(1) reads.
-* **Specialised loops.** ``run()`` with no sanitizer, no profiler and no
-  ``max_events`` uses a minimal dispatch loop; any instrumented run
-  falls back to a generic loop with the classic engine's exact check
-  ordering.  Setting :attr:`sanitizer` or :attr:`obs` re-installs the
-  closures so the specialisation stays correct.
+* **One hot loop.** A plain ``run()`` pops first and only then compares
+  the record against ``until`` (``None`` meaning +inf); the one record
+  that lies past it is put back where it came from, once per call.
+  ``step()`` and every run with ``max_events``, a sanitizer or a
+  profiler go through one shared helper that peeks at the next live
+  event and then fires it, in the classic engine's exact check order.
 
 An explicit preallocated free-list for event records was evaluated and
 rejected: records double as caller-visible handles, so recycling a fired
@@ -74,9 +76,8 @@ from repro.sim.engine import (
     _resolve_sanitizer,
 )
 
-#: Event record layout (plain list, also the caller-visible handle):
-#: ``[when, eid, status, callback, args, parent_eid, origin_eid]``.
-REC_WHEN, REC_EID, REC_STATUS, REC_CALLBACK, REC_ARGS, REC_PARENT, REC_ORIGIN = range(7)
+
+_INF = float("inf")
 
 
 def _raise_bad_delay(delay: Any) -> None:
@@ -97,24 +98,6 @@ def _raise_bad_when(when: Any, now: float) -> None:
     )
 
 
-def _counting_run(run: Callable[..., None],
-                  get_processed: Callable[[], int]) -> Callable[..., None]:
-    """Wrap a specialised ``run`` closure with run-telemetry accounting.
-
-    The delta of the derived processed counter is added to the process
-    counters once per ``run()`` call — the closure hot loop itself stays
-    untouched, mirroring the classic engine's end-of-run add.
-    """
-    def counted_run(until: Optional[Seconds] = None,
-                    max_events: Optional[int] = None) -> None:
-        before = get_processed()
-        try:
-            run(until, max_events)
-        finally:
-            add_engine_events(get_processed() - before)
-    return counted_run
-
-
 class FastSimulator(Simulator):
     """Fast array-backed engine backend (see module docstring).
 
@@ -126,7 +109,8 @@ class FastSimulator(Simulator):
     :meth:`~repro.sim.engine.Simulator.cancel_event` /
     :meth:`~repro.sim.engine.Simulator.event_pending` (both backends) or
     the ``event_*`` accessors in :mod:`repro.sim.engine` instead of
-    handle attributes.
+    handle attributes — and that :attr:`sanitizer` / :attr:`obs` cannot
+    be reassigned after construction.
     """
 
     def __init__(self, sanitizer: Optional[SimSanitizer] = _FROM_ENV,
@@ -135,89 +119,52 @@ class FastSimulator(Simulator):
         if backend not in (None, "fast"):
             raise SimulationError(
                 f"FastSimulator is the {'fast'!r} backend, got backend={backend!r}")
-        self._heap: List[list] = []
-        self._sanitizer = _resolve_sanitizer(sanitizer)
-        self._obs = _resolve_obs(obs)
-        if self._obs is not None:
+        san = self._sanitizer = _resolve_sanitizer(sanitizer)
+        obs = self._obs = _resolve_obs(obs)
+        if obs is not None:
             # Duck-typed provenance binding, same as the classic engine.
-            self._obs.provenance = self
-        self._install(now=0.0, eid_src=0, cancelled_q=0, cancelled_total=0,
-                      cur_eid=0, cur_origin=0, slot=None)
-
-    # ------------------------------------------------------------------
-    # closure factory
-    # ------------------------------------------------------------------
-    def _install(self, now: Seconds, eid_src: int, cancelled_q: int,
-                 cancelled_total: int, cur_eid: int, cur_origin: int,
-                 slot: Optional[list]) -> None:
-        """(Re)build the hot closures around the given engine state.
-
-        Called at construction and whenever :attr:`sanitizer` / :attr:`obs`
-        change, because the closures specialise on whether those hooks are
-        present.  All mutable engine state lives in the nonlocal cells
-        below; ``_snapshot`` reads it back out for the next install.
-        """
-        heap = self._heap
-        san = self._sanitizer
-        obs = self._obs
+            obs.provenance = self
+        heap: List[list] = []
+        slot: Optional[list] = None
+        now = 0.0
+        eid_src = 0
+        cancelled_q = 0      # cancelled records still queued
+        cancelled_total = 0  # every cancellation ever made
+        cur_eid = 0
+        cur_origin = 0
         running = False
 
         # -------------------------------------------------- scheduling
-        if san is None:
-            def schedule(delay: Seconds, callback: Callable[..., None],
-                         *args: Any) -> list:
-                nonlocal eid_src, slot
-                if not delay >= 0.0:  # False for NaN and negatives alike
-                    _raise_bad_delay(delay)
-                eid_src = eid = eid_src + 1
-                rec = [now + delay, eid, 0, callback, args, cur_eid, cur_origin]
-                if slot is None:
-                    slot = rec
-                else:
-                    heappush(heap, rec)
-                return rec
-
-            def schedule_at(when: Seconds, callback: Callable[..., None],
-                            *args: Any) -> list:
-                nonlocal eid_src, slot
-                if not when >= now:  # False for NaN and the past alike
-                    _raise_bad_when(when, now)
-                eid_src = eid = eid_src + 1
-                rec = [when, eid, 0, callback, args, cur_eid, cur_origin]
-                if slot is None:
-                    slot = rec
-                else:
-                    heappush(heap, rec)
-                return rec
-        else:
-            def schedule(delay: Seconds, callback: Callable[..., None],
-                         *args: Any) -> list:
-                nonlocal eid_src, slot
-                if not delay >= 0.0:
-                    _raise_bad_delay(delay)
-                when = now + delay
+        def schedule(delay: Seconds, callback: Callable[..., None],
+                     *args: Any) -> list:
+            nonlocal eid_src, slot
+            if not delay >= 0.0:  # False for NaN and negatives alike
+                _raise_bad_delay(delay)
+            when = now + delay
+            if san is not None:
                 san.check_schedule(now, when)
-                eid_src = eid = eid_src + 1
-                rec = [when, eid, 0, callback, args, cur_eid, cur_origin]
-                if slot is None:
-                    slot = rec
-                else:
-                    heappush(heap, rec)
-                return rec
+            eid_src = eid = eid_src + 1
+            rec = [when, eid, 0, callback, args, cur_eid, cur_origin]
+            if slot is None:
+                slot = rec
+            else:
+                heappush(heap, rec)
+            return rec
 
-            def schedule_at(when: Seconds, callback: Callable[..., None],
-                            *args: Any) -> list:
-                nonlocal eid_src, slot
-                if not when >= now:
-                    _raise_bad_when(when, now)
+        def schedule_at(when: Seconds, callback: Callable[..., None],
+                        *args: Any) -> list:
+            nonlocal eid_src, slot
+            if not when >= now:  # False for NaN and the past alike
+                _raise_bad_when(when, now)
+            if san is not None:
                 san.check_schedule(now, when)
-                eid_src = eid = eid_src + 1
-                rec = [when, eid, 0, callback, args, cur_eid, cur_origin]
-                if slot is None:
-                    slot = rec
-                else:
-                    heappush(heap, rec)
-                return rec
+            eid_src = eid = eid_src + 1
+            rec = [when, eid, 0, callback, args, cur_eid, cur_origin]
+            if slot is None:
+                slot = rec
+            else:
+                heappush(heap, rec)
+            return rec
 
         # -------------------------------------------------- cancellation
         def cancel_event(rec: list) -> None:
@@ -231,165 +178,28 @@ class FastSimulator(Simulator):
             return rec[2] == 0
 
         # -------------------------------------------------- execution
-        def _run_generic(until: Optional[Seconds],
-                         max_events: Optional[int]) -> None:
-            """Classic-ordered loop for sanitized/profiled/bounded runs."""
-            nonlocal now, slot, cur_eid, cur_origin, cancelled_q, running
-            profiler = obs.profiler if obs is not None else None
-            fired = 0
-            try:
-                while True:
-                    s = slot
-                    if s is not None:
-                        if heap and heap[0] < s:
-                            rec = heap[0]
-                            from_heap = True
-                        else:
-                            rec = s
-                            from_heap = False
-                    elif heap:
-                        rec = heap[0]
-                        from_heap = True
-                    else:
-                        break
-                    if rec[2]:
-                        # Cancelled entries are discarded before the
-                        # ``until`` check, exactly like the classic loop.
-                        if from_heap:
-                            heappop(heap)
-                        else:
-                            slot = None
-                        cancelled_q -= 1
-                        continue
-                    when = rec[0]
-                    if until is not None and when > until:
-                        break
-                    if max_events is not None and fired >= max_events:
-                        break
-                    if from_heap:
-                        heappop(heap)
-                    else:
-                        slot = None
-                    if san is not None:
-                        san.note_fire(when)
-                    now = when
-                    rec[2] = 1
-                    cur_eid = rec[1]
-                    cur_origin = rec[6]
-                    if profiler is None:
-                        rec[3](*rec[4])
-                    else:
-                        profiler.fire(rec[3], rec[4])
-                    fired += 1
-            finally:
-                running = False
-                cur_eid = 0
-                cur_origin = 0
-            if until is not None and now < until:
-                now = until
+        def fire_next(limit: float, profiler: Any) -> bool:
+            """Fire the next live event due at or before ``limit``.
 
-        if san is None:
-            def run(until: Optional[Seconds] = None,
-                    max_events: Optional[int] = None) -> None:
-                nonlocal now, slot, cur_eid, cur_origin, cancelled_q, running
-                if running:
-                    raise SimulationError("Simulator.run is not reentrant")
-                running = True
-                if max_events is not None or (
-                        obs is not None and obs.profiler is not None):
-                    _run_generic(until, max_events)
-                    return
-                if until is not None:
-                    try:
-                        while True:
-                            s = slot
-                            if s is not None:
-                                if heap and heap[0] < s:
-                                    rec = heap[0]
-                                    from_heap = True
-                                else:
-                                    rec = s
-                                    from_heap = False
-                            elif heap:
-                                rec = heap[0]
-                                from_heap = True
-                            else:
-                                break
-                            if rec[2]:
-                                if from_heap:
-                                    heappop(heap)
-                                else:
-                                    slot = None
-                                cancelled_q -= 1
-                                continue
-                            if rec[0] > until:
-                                break
-                            if from_heap:
-                                heappop(heap)
-                            else:
-                                slot = None
-                            now = rec[0]
-                            rec[2] = 1
-                            cur_eid = rec[1]
-                            cur_origin = rec[6]
-                            rec[3](*rec[4])
-                    finally:
-                        running = False
-                        cur_eid = 0
-                        cur_origin = 0
-                    if now < until:
-                        now = until
-                    return
-                # Hot path: drain to empty with direct dispatch.
-                try:
-                    while True:
-                        s = slot
-                        if s is not None:
-                            if heap and heap[0] < s:
-                                rec = heappop(heap)
-                            else:
-                                rec = s
-                                slot = None
-                        elif heap:
-                            rec = heappop(heap)
-                        else:
-                            break
-                        if rec[2]:
-                            cancelled_q -= 1
-                            continue
-                        now = rec[0]
-                        rec[2] = 1
-                        cur_eid = rec[1]
-                        cur_origin = rec[6]
-                        rec[3](*rec[4])
-                finally:
-                    running = False
-                    cur_eid = 0
-                    cur_origin = 0
-        else:
-            def run(until: Optional[Seconds] = None,
-                    max_events: Optional[int] = None) -> None:
-                nonlocal running
-                if running:
-                    raise SimulationError("Simulator.run is not reentrant")
-                running = True
-                _run_generic(until, max_events)
-
-        def step() -> bool:
+            Peeks first, so a record past ``limit`` stays queued.  This
+            is the classic engine's check order: discard cancelled
+            records, stop past ``limit``, pop, sanitize, fire.
+            """
             nonlocal now, slot, cur_eid, cur_origin, cancelled_q
-            profiler = obs.profiler if obs is not None else None
             while True:
                 s = slot
-                if s is not None:
-                    if heap and heap[0] < s:
-                        rec = heappop(heap)
-                    else:
-                        rec = s
-                        slot = None
+                if s is not None and not (heap and heap[0] < s):
+                    rec = s
                 elif heap:
-                    rec = heappop(heap)
+                    rec = heap[0]
                 else:
                     return False
+                if rec[2] == 0 and rec[0] > limit:
+                    return False
+                if rec is s:
+                    slot = None
+                else:
+                    heappop(heap)
                 if rec[2]:
                     cancelled_q -= 1
                     continue
@@ -410,6 +220,62 @@ class FastSimulator(Simulator):
                     cur_origin = 0
                 return True
 
+        def run(until: Optional[Seconds] = None,
+                max_events: Optional[int] = None) -> None:
+            nonlocal now, slot, cur_eid, cur_origin, cancelled_q, running
+            if running:
+                raise SimulationError("Simulator.run is not reentrant")
+            running = True
+            limit = _INF if until is None else until
+            profiler = obs.profiler if obs is not None else None
+            before = processed()
+            try:
+                if max_events is not None or san is not None or profiler is not None:
+                    fired = 0
+                    while ((max_events is None or fired < max_events)
+                           and fire_next(limit, profiler)):
+                        fired += 1
+                else:
+                    # Hot path: pop first, compare against ``limit`` after.
+                    while True:
+                        s = slot
+                        if s is not None:
+                            if heap and heap[0] < s:
+                                rec = heappop(heap)
+                            else:
+                                rec = s
+                                slot = None
+                        elif heap:
+                            rec = heappop(heap)
+                        else:
+                            break
+                        if rec[2]:
+                            cancelled_q -= 1
+                            continue
+                        if rec[0] > limit:
+                            # Past ``until``: put it back where it came from.
+                            if rec is s:
+                                slot = rec
+                            else:
+                                heappush(heap, rec)
+                            break
+                        now = rec[0]
+                        rec[2] = 1
+                        cur_eid = rec[1]
+                        cur_origin = rec[6]
+                        rec[3](*rec[4])
+            finally:
+                running = False
+                cur_eid = 0
+                cur_origin = 0
+                # One process-counter add per run(), not per event.
+                add_engine_events(processed() - before)
+            if until is not None and now < until:
+                now = until
+
+        def step() -> bool:
+            return fire_next(_INF, obs.profiler if obs is not None else None)
+
         def clear() -> None:
             nonlocal slot, cancelled_q, cancelled_total
             # Mark dropped records cancelled so handles report the truth
@@ -428,33 +294,25 @@ class FastSimulator(Simulator):
             cancelled_total += newly
             cancelled_q = 0
 
-        # -------------------------------------------------- state bridge
-        def _snapshot() -> tuple:
-            if running:
-                raise SimulationError(
-                    "cannot reconfigure the fast engine while run() is active")
-            return (now, eid_src, cancelled_q, cancelled_total,
-                    cur_eid, cur_origin, slot)
-
-        def _get_now() -> Seconds:
+        # -------------------------------------------------- state views
+        def get_now() -> Seconds:
             return now
 
-        def _get_cur_eid() -> int:
+        def get_cur_eid() -> int:
             return cur_eid
 
-        def _get_origin() -> int:
+        def get_origin() -> int:
             return cur_origin
 
-        def _set_origin(value: int) -> None:
+        def set_origin(value: int) -> None:
             nonlocal cur_origin
             cur_origin = value
 
-        def _get_pending() -> int:
+        def pending() -> int:
             return len(heap) + (slot is not None) - cancelled_q
 
-        def _get_processed() -> int:
-            return (eid_src - cancelled_total
-                    - (len(heap) + (slot is not None) - cancelled_q))
+        def processed() -> int:
+            return eid_src - cancelled_total - pending()
 
         # Closures are assigned as *instance* attributes: calls skip both
         # the descriptor protocol and bound-method creation.
@@ -462,19 +320,18 @@ class FastSimulator(Simulator):
         self.schedule_at = schedule_at
         self.cancel_event = cancel_event
         self.event_pending = event_pending
-        self.run = _counting_run(run, _get_processed)
+        self.run = run
         self.step = step
         self.clear = clear
-        self._snapshot = _snapshot
-        self._get_now = _get_now
-        self._get_cur_eid = _get_cur_eid
-        self._get_origin = _get_origin
-        self._set_origin = _set_origin
-        self._get_pending = _get_pending
-        self._get_processed = _get_processed
+        self._get_now = get_now
+        self._get_cur_eid = get_cur_eid
+        self._get_origin = get_origin
+        self._set_origin = set_origin
+        self._get_pending = pending
+        self._get_processed = processed
 
     # ------------------------------------------------------------------
-    # bridged read-only views of the closure cells
+    # read-only views of the closure cells and the construction-time hooks
     # ------------------------------------------------------------------
     @property
     def backend(self) -> str:
@@ -511,33 +368,12 @@ class FastSimulator(Simulator):
     def _sched_origin(self, value: int) -> None:
         self._set_origin(value)
 
-    # ------------------------------------------------------------------
-    # hook reconfiguration (re-specialises the closures)
-    # ------------------------------------------------------------------
     @property
     def sanitizer(self) -> Optional[SimSanitizer]:
-        """Runtime invariant checker; assigning re-installs the hot path."""
+        """Runtime invariant checker, fixed at construction."""
         return self._sanitizer
-
-    @sanitizer.setter
-    def sanitizer(self, value: Optional[SimSanitizer]) -> None:
-        state = self._snapshot()
-        self._sanitizer = value
-        self._install(*state)
 
     @property
     def obs(self) -> Optional[Observability]:
-        """Observability bundle; assigning re-installs the hot path."""
+        """Observability bundle, fixed at construction."""
         return self._obs
-
-    @obs.setter
-    def obs(self, value: Optional[Observability]) -> None:
-        state = self._snapshot()
-        self._obs = value
-        if value is not None:
-            value.provenance = self
-        self._install(*state)
-
-    def run_until(self, when: Seconds) -> None:
-        """Alias for ``run(until=when)``."""
-        self.run(until=when)

@@ -1,18 +1,13 @@
-"""Structured tracing and CSV export."""
+"""CSV export for time series and live trace streams."""
 
 from repro.trace.csvout import (
     CsvTraceSink,
-    write_events,
     write_multi_timeseries,
     write_timeseries,
 )
-from repro.trace.events import EventLog, TraceEvent
 
 __all__ = [
     "CsvTraceSink",
-    "EventLog",
-    "TraceEvent",
-    "write_events",
     "write_multi_timeseries",
     "write_timeseries",
 ]

@@ -1,14 +1,13 @@
-"""CSV export for time series, event logs, and live trace streams."""
+"""CSV export for time series and live trace streams."""
 
 from __future__ import annotations
 
 import csv
 from pathlib import Path
-from typing import Dict, Iterable, Optional, TextIO, Union
+from typing import Dict, Iterable, TextIO, Union
 
 from repro.metrics.timeseries import TimeSeries
 from repro.obs.records import TraceRecord
-from repro.trace.events import EventLog
 
 
 def write_timeseries(out: TextIO, series: TimeSeries,
@@ -42,25 +41,12 @@ def write_multi_timeseries(out: TextIO, series_by_name: Dict[str, TimeSeries],
         t += interval
 
 
-def write_events(out: TextIO, log: EventLog,
-                 field_names: Iterable[str] = ()) -> None:
-    """Write an event log as CSV with selected extra fields as columns."""
-    extra = list(field_names)
-    writer = csv.writer(out)
-    writer.writerow(["time", "flow_id", "kind"] + extra)
-    for event in log:
-        row = [f"{event.time:.6f}", event.flow_id, event.kind]
-        row.extend(event.fields.get(name, "") for name in extra)
-        writer.writerow(row)
-
-
 class CsvTraceSink:
     """A :class:`repro.obs.TraceSink` that writes records as CSV rows.
 
-    The former ad-hoc CSV event writer recast as a live sink: wire it into
-    ``Observability`` and every emitted :class:`TraceRecord` becomes a
-    ``time,flow,kind,<extra fields>`` row.  Extra fields not present on a
-    record are written as empty cells, mirroring :func:`write_events`.
+    Wire it into ``Observability`` and every emitted :class:`TraceRecord`
+    becomes a ``time,flow,kind,<extra fields>`` row.  Extra fields not
+    present on a record are written as empty cells.
     The provenance columns ``eid`` and ``peid`` may be requested in
     ``field_names``; they resolve from the record's provenance slots,
     not its fields mapping.

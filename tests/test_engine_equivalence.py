@@ -6,11 +6,9 @@ eids and provenance, same golden-trace digests.  This suite is the proof:
 
 * a seed x scenario x CC matrix runs every configuration under both
   backends and compares full-trace SHA-256 digests (eids included);
-* hypothesis property tests mirror random schedule/cancel programs on
-  both engines and check heap invariants (non-decreasing fire order,
-  FIFO at equal times, cancel-then-pop skips);
-* the packet pool is shown never to alias a live packet and to reuse in
-  deterministic LIFO order;
+* hypothesis property tests mirror random schedule/cancel/run-slice
+  programs on both engines and check heap invariants (non-decreasing
+  fire order, FIFO at equal times, cancel-then-pop skips);
 * sanitizer rules and ``repro explain`` causal chains behave identically
   under the fast backend;
 * batched link serialisation — which *does* change the event stream and
@@ -21,7 +19,6 @@ eids and provenance, same golden-trace digests.  This suite is the proof:
 
 import math
 import random as _random
-import sys
 
 import pytest
 from hypothesis import given, settings
@@ -32,7 +29,6 @@ from repro.experiments.runner import run_single_flow
 from repro.net.link import Link
 from repro.net.netem import LossModel
 from repro.net.node import Host
-from repro.net.packet import POOL, Packet, PacketKind, PacketPool
 from repro.net.queue import DropTailQueue
 from repro.obs.causal import CausalIndex, explain_event
 from repro.obs.sinks import DigestSink
@@ -119,14 +115,21 @@ class TestExplainChainEquivalence:
 
 
 # ----------------------------------------------------------------------
-# hypothesis: random schedule/cancel programs mirrored on both engines
+# hypothesis: random schedule/cancel/run-slice programs on both engines
 # ----------------------------------------------------------------------
+_delays = st.floats(min_value=0.0, max_value=10.0,
+                    allow_nan=False, allow_infinity=False)
 _ops = st.lists(
     st.one_of(
-        st.tuples(st.just("sched"),
-                  st.floats(min_value=0.0, max_value=10.0,
-                            allow_nan=False, allow_infinity=False)),
+        st.tuples(st.just("sched"), _delays),
+        # a callback that schedules a child event ``arg`` seconds later
+        st.tuples(st.just("parent"), _delays),
         st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=40)),
+        # run(until=now + arg)
+        st.tuples(st.just("until"), st.floats(min_value=0.0, max_value=5.0,
+                                              allow_nan=False)),
+        st.tuples(st.just("max_events"), st.integers(min_value=0, max_value=4)),
+        st.tuples(st.just("step"), st.just(0)),
     ),
     min_size=1, max_size=40)
 
@@ -136,22 +139,46 @@ class TestHeapProperties:
     @given(program=_ops)
     def test_random_programs_fire_identically(self, program):
         """Classic and fast engines fire the same callbacks in the same
-        order at the same clock values for any schedule/cancel program."""
+        order at the same clock values for any program of schedules,
+        cancels (of top-level and child events) and run slices —
+        ``run(until=...)``, ``run(max_events=...)``, ``step()`` and a
+        final drain — and agree on the clock, both event counters and
+        the process engine-event counter after every slice."""
+        from repro.obs.runtime import counters
+
         logs = []
         for backend in ("classic", "fast"):
             sim = Simulator(sanitizer=None, obs=None, backend=backend)
             log = []
             handles = []
+
+            def fire(i, child_delay=None, s=sim):
+                log.append((i, s.now, s.current_eid))
+                if child_delay is not None:
+                    handles.append(s.schedule(child_delay, fire, -i))
+
+            def run_slice(label, run):
+                counted = counters.engine_events
+                result = run()
+                log.append((label, result, sim.now, sim.events_processed,
+                            sim.pending_events,
+                            counters.engine_events - counted))
+
             for i, (op, arg) in enumerate(program):
                 if op == "sched":
-                    handles.append(
-                        sim.schedule(arg, lambda s=sim, i=i: log.append(
-                            (i, s.now, s.current_eid))))
-                elif handles:
-                    sim.cancel_event(handles[arg % len(handles)])
-            sim.run()
-            log.append(("end", sim.now, sim.events_processed,
-                        sim.pending_events))
+                    handles.append(sim.schedule(arg, fire, i))
+                elif op == "parent":
+                    handles.append(sim.schedule(arg, fire, i, arg / 2))
+                elif op == "cancel":
+                    if handles:
+                        sim.cancel_event(handles[arg % len(handles)])
+                elif op == "until":
+                    run_slice(op, lambda: sim.run(until=sim.now + arg))
+                elif op == "max_events":
+                    run_slice(op, lambda: sim.run(max_events=arg))
+                else:
+                    run_slice(op, sim.step)
+            run_slice("end", sim.run)
             logs.append(log)
         assert logs[0] == logs[1]
 
@@ -188,107 +215,6 @@ class TestHeapProperties:
             sim.run()
             assert set(fired) == set(range(len(times))) - doomed, backend
             assert sim.pending_events == 0, backend
-
-
-# ----------------------------------------------------------------------
-# packet pool: aliasing safety and deterministic reuse
-# ----------------------------------------------------------------------
-def _acquire(pool, i):
-    return pool.acquire_data(flow_id=1, src="a", dst="b", seq=i * 1448,
-                             payload=1448, sent_time=0.0, retransmit=False,
-                             ect=False, cwr=False)
-
-
-class TestPoolProperties:
-    def test_release_requires_refcount_proof(self):
-        """A packet someone still holds is retained, never recycled."""
-        pool = PacketPool()
-        p = _acquire(pool, 0)
-        # Two extra live references beyond what the RELEASE_FLOOR call
-        # shape (args tuple + consuming frame) accounts for.
-        keeper, another = p, p
-        assert pool.release(p) is False
-        assert pool.retained == 1
-        assert p._pool_state == 1  # still live, still owned by the caller
-        assert keeper.seq == 0 and another is p
-
-    def test_reuse_is_lifo_and_never_aliases_live_packets(self):
-        pool = PacketPool()
-        a, b = _acquire(pool, 1), _acquire(pool, 2)
-        ida, idb = id(a), id(b)
-        # refs_ok=5: this frame's locals add one reference vs. the
-        # engine-dispatch call shape the default floor models.
-        assert pool.release(a, refs_ok=5)
-        assert pool.release(b, refs_ok=5)
-        del a, b
-        c = _acquire(pool, 3)
-        d = _acquire(pool, 4)
-        e = _acquire(pool, 5)  # free list empty: fresh construction
-        assert (id(c), id(d)) == (idb, ida)  # LIFO: b back first
-        assert id(e) not in (ida, idb)
-        # Reused packets are fully reset and freshly identified.
-        assert (c.seq, d.seq, e.seq) == (3 * 1448, 4 * 1448, 5 * 1448)
-        assert len({c.packet_id, d.packet_id, e.packet_id}) == 3
-
-    @settings(max_examples=50, deadline=None)
-    @given(ops=st.lists(st.sampled_from(["acquire", "release"]),
-                        min_size=1, max_size=60))
-    def test_random_acquire_release_never_aliases(self, ops):
-        """No interleaving hands out a packet that is still live."""
-        pool = PacketPool()
-        live = []
-        n = 0
-        for op in ops:
-            if op == "acquire" or not live:
-                p = _acquire(pool, n)
-                n += 1
-                assert all(q is not p for q in live), "pool aliased a live packet"
-                assert p._pool_state == 1
-                live.append(p)
-            else:
-                p = live.pop()
-                assert pool.release(p, refs_ok=5)
-                assert p._pool_state == 2
-                del p
-        assert pool.reused + pool.allocated == n
-
-    def test_disabled_pool_constructs_directly(self):
-        pool = PacketPool(enabled=False)
-        p = _acquire(pool, 0)
-        assert p._pool_state == 0
-        assert pool.release(p) is False  # never recycled
-        assert len(pool) == 0
-
-    def test_prealloc_does_not_consume_packet_ids(self):
-        before = Packet(flow_id=1, src="a", dst="b",
-                        kind=PacketKind.DATA).packet_id
-        PacketPool(prealloc=32)
-        after = Packet(flow_id=1, src="a", dst="b",
-                       kind=PacketKind.DATA).packet_id
-        assert after == before + 1
-
-    def test_id_stream_is_pool_independent(self):
-        """The same acquisitions draw the same ids pooled or not — the
-        invariant that keeps golden traces pool-blind."""
-        pooled, direct = PacketPool(prealloc=4), PacketPool(enabled=False)
-        gap = [_acquire(p, i).packet_id
-               for i, p in enumerate((pooled, direct, pooled, direct))]
-        assert gap == list(range(gap[0], gap[0] + 4))
-
-    def test_process_pool_recycles_in_a_real_transfer(self):
-        """End-to-end: Host.receive feeds delivered packets back to POOL."""
-        if not POOL.enabled:
-            pytest.skip("REPRO_PACKET_POOL disabled in this environment")
-        reused_before = POOL.reused
-        sim = Simulator(sanitizer=None, obs=None)
-        a, b = Host("a"), Host("b")
-        a.uplink = Link(sim, b, 1.25e6, 0.02, queue=DropTailQueue(100_000))
-        b.uplink = Link(sim, a, 1.25e6, 0.02, queue=DropTailQueue(100_000))
-        transfer = open_transfer(sim, a, b, flow_id=1,
-                                 size_bytes=200_000, cc="cubic")
-        sim.run(until=30.0)
-        assert transfer.completed
-        assert POOL.reused > reused_before
 
 
 # ----------------------------------------------------------------------

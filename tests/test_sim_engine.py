@@ -323,6 +323,37 @@ class TestRunControl:
         sim.run()
         assert sim.events_processed == 3
 
+    @pytest.mark.parametrize("sanitized", [False, True])
+    @pytest.mark.parametrize("mode", ["until", "drain", "max_events"])
+    def test_engine_event_counter_matches_events_processed(
+            self, backend, mode, sanitized):
+        """The process counter adds exactly the events_processed delta,
+        including an event whose callback raised."""
+        from repro.analysis.sanitize import SimSanitizer
+        from repro.obs.runtime import counters
+
+        sim = Simulator(sanitizer=SimSanitizer() if sanitized else None,
+                        obs=None, backend=backend)
+
+        def boom():
+            raise RuntimeError("third event fails")
+
+        for i in range(5):
+            sim.schedule(float(i + 1), boom if i == 2 else (lambda: None))
+        run = {"until": lambda: sim.run(until=10.0),
+               "drain": sim.run,
+               "max_events": lambda: sim.run(max_events=4)}[mode]
+        for expected in (3, 2):  # the raising run, then the rest
+            counted = counters.engine_events
+            processed = sim.events_processed
+            if expected == 3:
+                with pytest.raises(RuntimeError):
+                    run()
+            else:
+                run()
+            assert sim.events_processed - processed == expected
+            assert counters.engine_events - counted == expected
+
 
 class TestPendingEvents:
     """pending_events is O(1) on both backends, not a heap scan."""
