@@ -5,7 +5,9 @@ every ``.py`` file under the given paths and, for each ``repro`` package
 found among them (e.g. ``src``), the import-graph layering checker.
 Exit status is 0 for a clean tree and 1 when there are findings, so CI
 can gate on it directly.  ``--explain RULE`` prints the catalogue entry
-for any DET/LAY/SAN/UNIT code and exits.
+for any DET/LAY/SAN/UNIT code and exits.  ``repro lint`` and
+``python -m repro.analysis.cli`` share one flag set (:func:`add_arguments`)
+and one :func:`run`.
 """
 
 from __future__ import annotations
@@ -38,11 +40,8 @@ def run_lint(paths: List[str], layering: bool = True,
     return sort_findings(findings)
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro lint",
-        description="determinism/layering/unit linter for the SUSS "
-                    "reproduction")
+def add_arguments(parser: argparse.ArgumentParser) -> None:
+    """The lint flags; ``repro lint`` registers them on its subparser."""
     parser.add_argument("paths", nargs="*", default=["src", "tests"],
                         help="files or directories to lint "
                              "(default: src tests)")
@@ -55,8 +54,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--explain", metavar="RULE",
                         help="print the catalogue entry for a rule ID "
                              "(e.g. DET003, UNIT002) and exit")
-    args = parser.parse_args(argv)
 
+
+def run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    """Lint as ``args`` asks; ``parser`` reports a missing path."""
     if args.explain:
         try:
             print(explain(args.explain))
@@ -79,6 +80,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     else:
         print("repro lint: clean")
     return 1 if findings else 0
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    parser = argparse.ArgumentParser(
+        prog="repro lint",
+        description="determinism/layering/unit linter for the SUSS "
+                    "reproduction")
+    add_arguments(parser)
+    return run(parser.parse_args(argv), parser)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -16,11 +16,14 @@ Usage (after ``pip install -e .``)::
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import os
 import sys
-from typing import List, Optional
+from collections import Counter
+from typing import List, Optional, Sequence
 
+from repro.analysis import cli as lint_cli
 from repro.campaign import ProgressReporter, ResultStore, stderr_reporter
 from repro.cc import available
 from repro.experiments.report import pct, render_table
@@ -30,62 +33,160 @@ from repro.core.units import BITS_PER_BYTE, MB, MBIT, MBPS, MILLIS_PER_SECOND
 from repro.workloads import INTERNET_SCENARIOS
 from repro.workloads.scenarios import LINK_NAMES, SERVER_NAMES
 
+#: Every run flag a campaign-backed subcommand may take.  Each subcommand
+#: registers the subset its runner understands with :func:`add_run_flags`;
+#: :class:`RunSession` reads whichever of them the subcommand has.
+RUN_FLAGS = {
+    "jobs": dict(type=int, default=1,
+                 help="worker processes (1 = run inline)"),
+    "cache-dir": dict(default=None,
+                      help="result cache; re-runs only compute misses"),
+    "no-cache": dict(action="store_true",
+                     help="disable the result cache entirely"),
+    "resume": dict(action="store_true",
+                   help="continue an interrupted campaign from --cache-dir "
+                        "(errors if it does not exist)"),
+    "timeout": dict(type=float, default=None,
+                    help="per-job wall-clock timeout in seconds"),
+    "retries": dict(type=int, default=1,
+                    help="retries per job after a failure/crash"),
+    "quiet": dict(action="store_true",
+                  help="suppress per-job progress on stderr"),
+    "stats-json": dict(help="write executed/cached/failed counts to a file"),
+    "ledger-dir": dict(help="write a content-addressed run ledger here "
+                            "(campaign runs also keep a live status.json "
+                            "for `repro top` there)"),
+    "metrics-port": dict(type=int, default=None, metavar="PORT",
+                         help="serve live OpenMetrics on this port while "
+                              "the run goes (0 = ephemeral; needs "
+                              "--ledger-dir)"),
+}
+#: the flags of the plain worker-pool runners (sweep, experiment, profile)
+POOL_FLAGS = ("jobs", "cache-dir", "quiet")
 
-def _campaign_kwargs(args: argparse.Namespace) -> dict:
-    """Translate shared --jobs/--cache-dir/--quiet flags into runner kwargs."""
-    store = None
-    if getattr(args, "cache_dir", None):
-        store = ResultStore(args.cache_dir)
-    progress: Optional[ProgressReporter]
-    if getattr(args, "quiet", False):
-        progress = ProgressReporter(stream=None)
-    else:
-        progress = stderr_reporter(min_interval=0.5)
-    return {"jobs": args.jobs, "store": store, "progress": progress}
-
-
-def _ledger_telemetry(args: argparse.Namespace, tool: str):
-    """(RunTelemetry, MetricsServer) for a --ledger-dir run, else (None, None).
-
-    The telemetry writes live ``status.json`` snapshots into the ledger
-    directory (what ``repro top`` watches); ``--metrics-port`` addition-
-    ally serves the live registry as OpenMetrics for scrapers.
-    """
-    if not getattr(args, "ledger_dir", None):
-        return None, None
-    from repro.obs.export import MetricsServer, render_openmetrics
-    from repro.obs.runtime import RunTelemetry
-
-    os.makedirs(args.ledger_dir, exist_ok=True)
-    telemetry = RunTelemetry(
-        tool=tool, status_path=os.path.join(args.ledger_dir, "status.json"))
-    server = None
-    if getattr(args, "metrics_port", None) is not None:
-        server = MetricsServer(
-            lambda: render_openmetrics(telemetry.metrics),
-            port=args.metrics_port)
-        server.start()
-        print(f"serving OpenMetrics at {server.url}", file=sys.stderr)
-    return telemetry, server
+CAMPAIGN_FAILURE = ("campaign failed: {exc}\n(completed jobs stay cached; "
+                    "re-run with --resume to retry only the rest)")
 
 
-def _finish_ledger(args: argparse.Namespace, telemetry, server, *,
-                   mode: str, fingerprint: str, base_seed: int,
-                   summary: Optional[dict] = None) -> Optional[str]:
-    """Write the run ledger + execution sidecar after a completed run."""
-    if server is not None:
-        server.close()
-    if telemetry is None:
-        return None
+def add_run_flags(parser: argparse.ArgumentParser, *names: str,
+                  **defaults) -> None:
+    """Register the named :data:`RUN_FLAGS`; ``defaults`` (by dest) override
+    a flag's default for this subcommand."""
+    for name in names:
+        kwargs = dict(RUN_FLAGS[name])
+        dest = name.replace("-", "_")
+        if dest in defaults:
+            kwargs["default"] = defaults[dest]
+        parser.add_argument(f"--{name}", **kwargs)
+
+
+def write_run_ledger(directory: str, tool: str, mode: str, fingerprint: str,
+                     base_seed: int, jobs: Sequence, values: Sequence, *,
+                     summary: Optional[dict] = None,
+                     execution: Optional[dict] = None) -> str:
+    """Build and write one run ledger (plus its execution sidecar, if any)."""
     from repro.obs.ledger import build_ledger, write_ledger
 
-    ledger = build_ledger(telemetry.tool, mode, fingerprint, base_seed,
-                          telemetry.jobs, telemetry.values, summary=summary)
-    path = write_ledger(ledger, args.ledger_dir,
-                        execution=telemetry.execution_record())
+    ledger = build_ledger(tool, mode, fingerprint, base_seed, jobs, values,
+                          summary=summary)
+    path = write_ledger(ledger, directory, execution=execution)
     print(f"run ledger: {path} (id {ledger.ledger_id[:16]})",
           file=sys.stderr)
     return path
+
+
+class RunSession:
+    """The shared frame around one campaign-backed subcommand's run.
+
+    Built from the subcommand's run flags: the result store, the progress
+    reporter and, under ``--ledger-dir``, the live ``RunTelemetry`` (which
+    keeps ``status.json`` fresh for ``repro top``) plus the optional
+    ``--metrics-port`` OpenMetrics server.  As a context manager around
+    the run it closes the server and turns a failed campaign's
+    ``RuntimeError`` into ``SystemExit(failure)``, still writing
+    ``--stats-json``; :meth:`finish` then writes the run ledger and the
+    stats of a completed run.
+    """
+
+    def __init__(self, args: argparse.Namespace, *,
+                 failure: str = "repro {tool}: {exc}") -> None:
+        self.args = args
+        self.tool = args.command
+        self.failure = failure
+        cache_dir = getattr(args, "cache_dir", None)
+        if getattr(args, "resume", False) and not os.path.isdir(cache_dir):
+            raise SystemExit(f"--resume: cache directory {cache_dir!r} "
+                             f"does not exist (nothing to resume)")
+        ledger_dir = getattr(args, "ledger_dir", None)
+        port = getattr(args, "metrics_port", None)
+        if port is not None and not ledger_dir:
+            raise SystemExit(f"repro {self.tool}: --metrics-port needs "
+                             f"--ledger-dir (it serves that run's live "
+                             f"telemetry)")
+        self.store = (ResultStore(cache_dir)
+                      if cache_dir and not getattr(args, "no_cache", False)
+                      else None)
+        self.progress = (ProgressReporter(stream=None)
+                         if getattr(args, "quiet", False)
+                         else stderr_reporter(min_interval=0.5))
+        self.telemetry = self.server = None
+        if ledger_dir:
+            from repro.obs.export import MetricsServer, render_openmetrics
+            from repro.obs.runtime import RunTelemetry
+
+            os.makedirs(ledger_dir, exist_ok=True)
+            telemetry = self.telemetry = RunTelemetry(
+                tool=self.tool,
+                status_path=os.path.join(ledger_dir, "status.json"))
+            if port is not None:
+                self.server = MetricsServer(
+                    lambda: render_openmetrics(telemetry.metrics), port=port)
+                self.server.start()
+                print(f"serving OpenMetrics at {self.server.url}",
+                      file=sys.stderr)
+
+    @property
+    def kwargs(self) -> dict:
+        """Runner keyword arguments for the run flags this subcommand has."""
+        kwargs = {"jobs": self.args.jobs, "store": self.store,
+                  "progress": self.progress}
+        for name in ("timeout", "retries"):
+            if hasattr(self.args, name):
+                kwargs[name] = getattr(self.args, name)
+        if hasattr(self.args, "ledger_dir"):
+            kwargs["telemetry"] = self.telemetry
+        return kwargs
+
+    def __enter__(self) -> "RunSession":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if self.server is not None:
+            self.server.close()
+        if exc_type is not None and issubclass(exc_type, RuntimeError):
+            self._write_stats()
+            raise SystemExit(self.failure.format(tool=self.tool, exc=exc))
+
+    def finish(self, mode: str, fingerprint: str, base_seed: int, *,
+               summary: Optional[dict] = None) -> None:
+        """After a completed run: the ledger, then the stats line/file."""
+        if self.telemetry is not None:
+            write_run_ledger(
+                self.args.ledger_dir, self.tool, mode, fingerprint,
+                base_seed, self.telemetry.jobs, self.telemetry.values,
+                summary=summary, execution=self.telemetry.execution_record())
+        if hasattr(self.args, "stats_json"):
+            stats = self._write_stats()
+            print(f"campaign: total={stats['total']} "
+                  f"executed={stats['executed']} cached={stats['cached']} "
+                  f"failed={stats['failed']} elapsed={stats['elapsed']:.1f}s")
+
+    def _write_stats(self) -> dict:
+        stats = self.progress.stats()
+        if getattr(self.args, "stats_json", None):
+            with open(self.args.stats_json, "w", encoding="utf-8") as fh:
+                json.dump(stats, fh, sort_keys=True)
+        return stats
 
 
 def _scenario(name: str):
@@ -146,8 +247,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     scenario = _scenario(args.scenario)
     ccs = args.ccs.split(",")
     sizes = [int(s) for s in args.sizes.split(",")]
-    summaries = sweep_summaries(scenario, ccs, sizes, args.iterations,
-                                args.seed, **_campaign_kwargs(args))
+    with RunSession(args) as run:
+        summaries = sweep_summaries(scenario, ccs, sizes, args.iterations,
+                                    args.seed, **run.kwargs)
     rows = []
     for size in sizes:
         row: List[object] = [size / MB]
@@ -231,26 +333,23 @@ def cmd_flowsim(args: argparse.Namespace) -> int:
     result = run_sweep(config)
     elapsed = time.perf_counter() - start  # noqa: DET001 - CLI-level throughput report
     value = sweep_to_value(result)
-    if getattr(args, "ledger_dir", None):
+    if args.ledger_dir:
         # Ledger the sweep exactly as the campaign tier would hash it:
         # the sweep-job spec is the content address, the value its
         # digest input (wall-clock 'elapsed' never enters the ledger).
+        # No campaign runs, so there is no execution sidecar.
         import dataclasses
 
         from repro.campaign.spec import flowsim_sweep_job
         from repro.campaign.store import code_fingerprint
-        from repro.obs.ledger import build_ledger, write_ledger
 
         spec = flowsim_sweep_job(dataclasses.asdict(path), args.flows,
                                  size_dist=args.dist, models=models,
                                  seed=args.seed)
-        ledger = build_ledger(
-            "flowsim", "sweep", code_fingerprint(), args.seed,
-            [{"hash": spec.job_hash, "kind": spec.kind,
-              "label": spec.label}], [value])
-        ledger_path = write_ledger(ledger, args.ledger_dir)
-        print(f"run ledger: {ledger_path} (id {ledger.ledger_id[:16]})",
-              file=sys.stderr)
+        write_run_ledger(
+            args.ledger_dir, "flowsim", "sweep", code_fingerprint(),
+            args.seed, [{"hash": spec.job_hash, "kind": spec.kind,
+                         "label": spec.label}], [value])
     if args.as_json:
         value["elapsed"] = elapsed
         print(json.dumps(value, sort_keys=True))
@@ -320,7 +419,7 @@ def _flowsim_crossval(args: argparse.Namespace) -> int:
     return 0
 
 
-#: experiment name -> (module path, run kwargs builder)
+#: experiment name -> its module under repro.experiments
 EXPERIMENTS = {
     "fig01": "fig01_motivation",
     "fig02": "fig02_competition",
@@ -345,133 +444,75 @@ EXPERIMENTS = {
 }
 
 
+def _run_experiment(name: str, run: RunSession):
+    """Import and run one paper experiment: ``(module, results)``."""
+    module = importlib.import_module(f"repro.experiments.{EXPERIMENTS[name]}")
+    if name == "fig02":
+        return module, module.run_comparison()
+    if name == "fig18":
+        return module, module.run_matrix(**run.kwargs)
+    if name in ("table1", "topo"):
+        return module, module.run(**run.kwargs)
+    return module, module.run()
+
+
 def cmd_experiment(args: argparse.Namespace) -> int:
-    import importlib
-    module_name = EXPERIMENTS.get(args.name)
-    if module_name is None:
-        raise SystemExit(f"unknown experiment {args.name!r}; "
-                         f"known: {', '.join(sorted(EXPERIMENTS))}")
-    module = importlib.import_module(f"repro.experiments.{module_name}")
-    if args.name == "fig02":
-        results = module.run_comparison()
-    elif args.name == "fig18":
-        results = module.run_matrix(**_campaign_kwargs(args))
+    with RunSession(args) as run:
+        module, results = _run_experiment(args.name, run)
+    if args.name == "fig18":
         print(module.format_fct_report(results))
         print()
         print(module.format_loss_report(results))
-        return 0
-    elif args.name == "table1":
-        results = module.run(**_campaign_kwargs(args))
-    elif args.name == "topo":
-        module.run(**_campaign_kwargs(args))
-        return 0
-    else:
-        results = module.run()
-    print(module.format_report(results))
-    return 0
-
-
-def _campaign_topo(args: argparse.Namespace) -> int:
-    """``repro campaign --topo``: the topogen scenario matrix, cached."""
-    from repro.experiments import topo_suite
-    from repro.workloads.topo import get_topo_scenario, registered_specs
-
-    names = (sorted(registered_specs()) if args.topo == "all"
-             else args.topo.split(","))
-    for name in names:
-        try:
-            get_topo_scenario(name)
-        except KeyError as exc:
-            raise SystemExit(f"repro campaign: {exc.args[0]}")
-    sizes = [int(s) for s in args.sizes.split(",")]
-
-    if args.resume and not os.path.isdir(args.cache_dir):
-        raise SystemExit(f"--resume: cache directory {args.cache_dir!r} "
-                         f"does not exist (nothing to resume)")
-    store = None if args.no_cache else ResultStore(args.cache_dir)
-    progress = (ProgressReporter(stream=None) if args.quiet
-                else stderr_reporter(min_interval=0.5))
-    telemetry, server = _ledger_telemetry(args, "campaign")
-    try:
-        for size in sizes:
-            rows = topo_suite.run_suite(
-                scenarios=names, size=size, iterations=args.iterations,
-                base_seed=args.seed, cross_load=args.cross_load,
-                jobs=args.jobs, store=store, progress=progress,
-                timeout=args.timeout, retries=args.retries,
-                telemetry=telemetry)
-            print(topo_suite.format_report(rows))
-            print()
-    except RuntimeError as exc:
-        if server is not None:
-            server.close()
-        raise SystemExit(f"campaign failed: {exc}\n"
-                         f"(completed jobs stay cached; re-run with "
-                         f"--resume to retry only the rest)")
-    from repro.campaign import code_fingerprint
-    _finish_ledger(args, telemetry, server, mode="topo",
-                   fingerprint=code_fingerprint(), base_seed=args.seed)
-    stats = progress.stats()
-    print(f"campaign: total={stats['total']} executed={stats['executed']} "
-          f"cached={stats['cached']} failed={stats['failed']} "
-          f"elapsed={stats['elapsed']:.1f}s")
-    if args.stats_json:
-        with open(args.stats_json, "w", encoding="utf-8") as fh:
-            json.dump(stats, fh, sort_keys=True)
+    elif args.name != "topo":           # topo_suite.run prints its own
+        print(module.format_report(results))
     return 0
 
 
 def cmd_campaign(args: argparse.Namespace) -> int:
-    """Run a (sub-)matrix of the Fig. 17/18 evaluation as a cached campaign."""
-    from repro.experiments import fig17_18_all_scenarios
+    """Run a (sub-)matrix of the Fig. 17/18 evaluation, or the topogen
+    scenarios (``--topo``), as a cached campaign."""
+    from repro.campaign import code_fingerprint
+    from repro.experiments import fig17_18_all_scenarios as matrix
+    from repro.experiments import topo_suite
+    from repro.workloads.topo import get_topo_scenario, registered_specs
 
     if args.topo:
-        return _campaign_topo(args)
-    servers = args.servers.split(",")
-    links = args.links.split(",")
+        names = (sorted(registered_specs()) if args.topo == "all"
+                 else args.topo.split(","))
+        for name in names:
+            try:
+                get_topo_scenario(name)
+            except KeyError as exc:
+                raise SystemExit(f"repro campaign: {exc.args[0]}")
+    else:
+        servers = args.servers.split(",")
+        links = args.links.split(",")
+        for server in servers:
+            for link in links:
+                _scenario(f"{server}/{link}")
     sizes = [int(s) for s in args.sizes.split(",")]
-    schemes = tuple(args.ccs.split(","))
-    for server in servers:
-        for link in links:
-            _scenario(f"{server}/{link}")
 
-    if args.resume and not os.path.isdir(args.cache_dir):
-        raise SystemExit(f"--resume: cache directory {args.cache_dir!r} "
-                         f"does not exist (nothing to resume)")
-    store = None if args.no_cache else ResultStore(args.cache_dir)
-    progress = (ProgressReporter(stream=None) if args.quiet
-                else stderr_reporter(min_interval=0.5))
-    telemetry, server = _ledger_telemetry(args, "campaign")
-    try:
-        rows = fig17_18_all_scenarios.run_matrix(
-            servers=servers, links=links, sizes=sizes, schemes=schemes,
-            iterations=args.iterations, base_seed=args.seed, jobs=args.jobs,
-            store=store, progress=progress, timeout=args.timeout,
-            retries=args.retries, telemetry=telemetry)
-    except RuntimeError as exc:
-        if server is not None:
-            server.close()
-        stats = progress.stats()
-        if args.stats_json:
-            with open(args.stats_json, "w", encoding="utf-8") as fh:
-                json.dump(stats, fh, sort_keys=True)
-        raise SystemExit(f"campaign failed: {exc}\n"
-                         f"(completed jobs stay cached; re-run with "
-                         f"--resume to retry only the rest)")
-    from repro.campaign import code_fingerprint
-    _finish_ledger(args, telemetry, server, mode="matrix",
-                   fingerprint=code_fingerprint(), base_seed=args.seed)
-    if all(s in rows[0].fct for s in ("cubic", "cubic+suss")):
-        print(fig17_18_all_scenarios.format_fct_report(rows))
-        print()
-    print(fig17_18_all_scenarios.format_loss_report(rows))
-    stats = progress.stats()
-    print(f"campaign: total={stats['total']} executed={stats['executed']} "
-          f"cached={stats['cached']} failed={stats['failed']} "
-          f"elapsed={stats['elapsed']:.1f}s")
-    if args.stats_json:
-        with open(args.stats_json, "w", encoding="utf-8") as fh:
-            json.dump(stats, fh, sort_keys=True)
+    with RunSession(args, failure=CAMPAIGN_FAILURE) as run:
+        if args.topo:
+            for size in sizes:
+                rows = topo_suite.run_suite(
+                    scenarios=names, size=size, iterations=args.iterations,
+                    base_seed=args.seed, cross_load=args.cross_load,
+                    **run.kwargs)
+                print(topo_suite.format_report(rows))
+                print()
+        else:
+            rows = matrix.run_matrix(
+                servers=servers, links=links, sizes=sizes,
+                schemes=tuple(args.ccs.split(",")),
+                iterations=args.iterations, base_seed=args.seed,
+                **run.kwargs)
+            if all(s in rows[0].fct for s in ("cubic", "cubic+suss")):
+                print(matrix.format_fct_report(rows))
+                print()
+            print(matrix.format_loss_report(rows))
+    run.finish("topo" if args.topo else "matrix", code_fingerprint(),
+               args.seed)
     return 0
 
 
@@ -724,8 +765,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
     processes' events do not reach this report, so the default is the
     inline runner.
     """
-    import importlib
-
     from repro.obs import profile as obs_profile
 
     profiler = obs_profile.install_global()
@@ -741,16 +780,8 @@ def cmd_profile(args: argparse.Namespace) -> int:
                       file=sys.stderr)
                 return 1
         else:
-            module = importlib.import_module(
-                f"repro.experiments.{EXPERIMENTS[args.name]}")
-            if args.name == "fig02":
-                module.run_comparison()
-            elif args.name == "fig18":
-                module.run_matrix(**_campaign_kwargs(args))
-            elif args.name in ("table1", "topo"):
-                module.run(**_campaign_kwargs(args))
-            else:
-                module.run()
+            with RunSession(args) as run:
+                _run_experiment(args.name, run)
     finally:
         obs_profile.clear_global()
     if args.collapsed:
@@ -791,30 +822,18 @@ def cmd_validate(args: argparse.Namespace) -> int:
     except KeyError as exc:
         raise SystemExit(f"repro validate: {exc.args[0]}")
 
-    telemetry, server = _ledger_telemetry(args, "validate")
-    try:
-        report = run_validation(
-            claim_ids, mode=mode, base_seed=args.seed,
-            timeout=args.timeout, retries=args.retries,
-            telemetry=telemetry, **_campaign_kwargs(args))
-    except RuntimeError as exc:
-        if server is not None:
-            server.close()
-        raise SystemExit(f"repro validate: {exc}")
-
+    with RunSession(args) as run:
+        report = run_validation(claim_ids, mode=mode, base_seed=args.seed,
+                                **run.kwargs)
     # Ledger of the as-run verdicts (pre drift/perf patching — those are
     # environment-dependent overlays; the ledger records the
     # deterministic statistical outcome).
-    verdict_counts: dict = {}
-    for verdict in report.verdicts:
-        verdict_counts[verdict.verdict] = (
-            verdict_counts.get(verdict.verdict, 0) + 1)
-    _finish_ledger(
-        args, telemetry, server, mode=mode,
-        fingerprint=report.code_fingerprint, base_seed=args.seed,
-        summary={"claims": {v.claim_id: v.verdict
-                            for v in report.verdicts},
-                 "verdict_counts": dict(sorted(verdict_counts.items()))})
+    verdict_counts = sorted(Counter(v.verdict for v in report.verdicts)
+                            .items())
+    run.finish(mode, report.code_fingerprint, args.seed,
+               summary={"claims": {v.claim_id: v.verdict
+                                   for v in report.verdicts},
+                        "verdict_counts": dict(verdict_counts)})
 
     if args.against:
         try:
@@ -1016,21 +1035,6 @@ def cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_lint(args: argparse.Namespace) -> int:
-    """Determinism/layering lint — delegates to repro.analysis.cli."""
-    from repro.analysis.cli import main as lint_main
-    if args.explain:
-        return lint_main(["--explain", args.explain])
-    argv: List[str] = list(args.paths)
-    if args.as_json:
-        argv.append("--json")
-    if args.no_layering:
-        argv.append("--no-layering")
-    if args.no_units:
-        argv.append("--no-units")
-    return lint_main(argv)
-
-
 # ----------------------------------------------------------------------
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -1062,13 +1066,13 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--sizes", default="1000000,2000000,4000000")
     sweep_p.add_argument("--iterations", type=int, default=3)
     sweep_p.add_argument("--seed", type=int, default=0)
-    _add_campaign_flags(sweep_p)
+    add_run_flags(sweep_p, *POOL_FLAGS)
     sweep_p.set_defaults(func=cmd_sweep)
 
     exp_p = sub.add_parser("experiment",
                            help="regenerate a paper figure/table")
     exp_p.add_argument("name", choices=sorted(EXPERIMENTS))
-    _add_campaign_flags(exp_p)
+    add_run_flags(exp_p, *POOL_FLAGS)
     exp_p.set_defaults(func=cmd_experiment)
 
     camp_p = sub.add_parser(
@@ -1087,31 +1091,7 @@ def build_parser() -> argparse.ArgumentParser:
     camp_p.add_argument("--ccs", default="bbr,cubic+suss,cubic")
     camp_p.add_argument("--iterations", type=int, default=3)
     camp_p.add_argument("--seed", type=int, default=0)
-    camp_p.add_argument("--jobs", type=int, default=1,
-                        help="worker processes (1 = run inline)")
-    camp_p.add_argument("--cache-dir", default=".repro-cache",
-                        help="result cache; re-runs only compute misses")
-    camp_p.add_argument("--no-cache", action="store_true",
-                        help="disable the result cache entirely")
-    camp_p.add_argument("--resume", action="store_true",
-                        help="continue an interrupted campaign from "
-                             "--cache-dir (errors if it does not exist)")
-    camp_p.add_argument("--timeout", type=float, default=None,
-                        help="per-job wall-clock timeout in seconds")
-    camp_p.add_argument("--retries", type=int, default=2,
-                        help="retries per job after a failure/crash")
-    camp_p.add_argument("--quiet", action="store_true",
-                        help="suppress per-job progress on stderr")
-    camp_p.add_argument("--stats-json",
-                        help="write executed/cached/failed counts to a file")
-    camp_p.add_argument("--ledger-dir",
-                        help="write a content-addressed run ledger (plus a "
-                             "live status.json for `repro top`) here")
-    camp_p.add_argument("--metrics-port", type=int, default=None,
-                        metavar="PORT",
-                        help="serve live OpenMetrics on this port while the "
-                             "campaign runs (0 = ephemeral; needs "
-                             "--ledger-dir)")
+    add_run_flags(camp_p, *RUN_FLAGS, cache_dir=".repro-cache", retries=2)
     camp_p.set_defaults(func=cmd_campaign)
 
     topo_p = sub.add_parser(
@@ -1184,9 +1164,7 @@ def build_parser() -> argparse.ArgumentParser:
     flow_p.add_argument("--report", metavar="PATH",
                         help="also write the agreement report JSON here")
     flow_p.add_argument("--json", action="store_true", dest="as_json")
-    flow_p.add_argument("--ledger-dir",
-                        help="fleet sweeps: write a content-addressed run "
-                             "ledger here")
+    add_run_flags(flow_p, "ledger-dir")
     flow_p.set_defaults(func=cmd_flowsim)
 
     trace_p = sub.add_parser(
@@ -1259,7 +1237,7 @@ def build_parser() -> argparse.ArgumentParser:
     prof_p.add_argument("--collapsed", action="store_true",
                         help="emit flamegraph folded-stack lines instead "
                              "of the table")
-    _add_campaign_flags(prof_p)
+    add_run_flags(prof_p, *POOL_FLAGS)
     prof_p.set_defaults(func=cmd_profile)
 
     val_p = sub.add_parser(
@@ -1279,10 +1257,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="list registered claims and exit")
     val_p.add_argument("--seed", type=int, default=0,
                        help="base seed for the multi-seed fan-out")
-    val_p.add_argument("--timeout", type=float, default=None,
-                       help="per-job wall-clock timeout in seconds")
-    val_p.add_argument("--retries", type=int, default=1,
-                       help="retries per job after a failure/crash")
     val_p.add_argument("--json", action="store_true", dest="as_json",
                        help="emit the ValidationReport as canonical JSON "
                             "(byte-identical across same-seed runs)")
@@ -1311,15 +1285,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default: benchmarks/baseline.json)")
     val_p.add_argument("--perf-scale", type=float, default=1.0,
                        help="multiply perf tolerances (noisy CI runners)")
-    val_p.add_argument("--ledger-dir",
-                       help="write a content-addressed run ledger (plus a "
-                            "live status.json for `repro top`) here")
-    val_p.add_argument("--metrics-port", type=int, default=None,
-                       metavar="PORT",
-                       help="serve live OpenMetrics on this port while the "
-                            "validation runs (0 = ephemeral; needs "
-                            "--ledger-dir)")
-    _add_campaign_flags(val_p)
+    add_run_flags(val_p, *POOL_FLAGS, "timeout", "retries", "ledger-dir",
+                  "metrics-port")
     val_p.set_defaults(func=cmd_validate)
 
     top_p = sub.add_parser(
@@ -1352,29 +1319,9 @@ def build_parser() -> argparse.ArgumentParser:
     lint_p = sub.add_parser(
         "lint",
         help="determinism/layering linter (exit 1 on findings)")
-    lint_p.add_argument("paths", nargs="*", default=["src", "tests"],
-                        help="files or directories (default: src tests)")
-    lint_p.add_argument("--json", action="store_true", dest="as_json",
-                        help="emit findings as JSON")
-    lint_p.add_argument("--no-layering", action="store_true",
-                        help="skip the import-graph layering check")
-    lint_p.add_argument("--no-units", action="store_true",
-                        help="skip the unit/dimension checker")
-    lint_p.add_argument("--explain", metavar="RULE",
-                        help="print the catalogue entry for a rule ID "
-                             "(e.g. DET003, UNIT002) and exit")
-    lint_p.set_defaults(func=cmd_lint)
+    lint_cli.add_arguments(lint_p)
+    lint_p.set_defaults(func=lambda args: lint_cli.run(args, lint_p))
     return parser
-
-
-def _add_campaign_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes (1 = run inline)")
-    parser.add_argument("--cache-dir", default=None,
-                        help="cache results on disk; re-runs only compute "
-                             "misses")
-    parser.add_argument("--quiet", action="store_true",
-                        help="suppress per-job progress on stderr")
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -12,11 +12,10 @@ flow in a scenario.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.net.packet import Packet
 from repro.metrics.timeseries import TimeSeries
-from repro.obs.metrics import Counter, MetricRegistry
 
 
 @dataclass
@@ -51,25 +50,12 @@ class Telemetry:
     """Shared sink for per-flow instrumentation events."""
 
     def __init__(self, sample_cwnd: bool = True, sample_rtt: bool = True,
-                 sample_delivered: bool = True,
-                 registry: Optional[MetricRegistry] = None) -> None:
+                 sample_delivered: bool = True) -> None:
         self.flows: Dict[int, FlowTrace] = {}
         self.sample_cwnd = sample_cwnd
         self.sample_rtt = sample_rtt
         self.sample_delivered = sample_delivered
         self.total_drops = 0
-        #: optional repro.obs metric registry mirroring the counters, so
-        #: campaign/experiment code can read one uniform snapshot.
-        self.registry = registry
-        self._handles: Dict[Tuple[str, int], Counter] = {}
-
-    def _counter(self, name: str, flow_id: int) -> Counter:
-        key = (name, flow_id)
-        handle = self._handles.get(key)
-        if handle is None:
-            handle = self.registry.counter(name, flow=flow_id)
-            self._handles[key] = handle
-        return handle
 
     def flow(self, flow_id: int) -> FlowTrace:
         if flow_id not in self.flows:
@@ -94,10 +80,6 @@ class Telemetry:
         trace.data_packets_sent += 1
         if retransmit:
             trace.retransmit_packets += 1
-        if self.registry is not None:
-            self._counter("telemetry.data_packets", flow_id).add(1)
-            if retransmit:
-                self._counter("telemetry.retransmits", flow_id).add(1)
 
     def on_delivered(self, flow_id: int, now: float, delivered: int) -> None:
         if self.sample_delivered:
@@ -109,8 +91,6 @@ class Telemetry:
     def on_drop(self, packet: Packet, queue_name: str) -> None:
         self.total_drops += 1
         self.flow(packet.flow_id).drops += 1
-        if self.registry is not None:
-            self._counter("telemetry.drops", packet.flow_id).add(1)
 
     # -- wiring helpers ----------------------------------------------------
     def attach_queue(self, queue) -> None:

@@ -680,3 +680,81 @@ class TestTopoCampaign:
     def test_unknown_topo_scenario_rejected(self):
         with pytest.raises(SystemExit, match="unknown topo scenario"):
             main(["campaign", "--topo", "nope", "--quiet"])
+
+    def test_failed_topo_campaign_still_writes_stats_json(self, tmp_path,
+                                                          monkeypatch):
+        from repro.experiments import topo_suite
+
+        def boom(**kwargs):
+            raise RuntimeError("injected topo failure")
+
+        monkeypatch.setattr(topo_suite, "run_suite", boom)
+        stats_path = tmp_path / "stats.json"
+        with pytest.raises(SystemExit, match="injected topo failure"):
+            main(self.ARGS + ["--no-cache", "--stats-json", str(stats_path)])
+        stats = json.loads(stats_path.read_text())
+        assert stats["executed"] == 0 and stats["failed"] == 0
+
+
+class TestMetricsPortNeedsLedger:
+    @pytest.mark.parametrize("argv", [
+        ["campaign", "--servers", "google-tokyo", "--links", "wired",
+         "--sizes", "400000", "--ccs", "cubic", "--iterations", "1",
+         "--quiet", "--no-cache"],
+        ["validate", "--claims", "fig11-fct-wired-2mb", "--quiet"],
+    ])
+    def test_metrics_port_without_ledger_dir_rejected(self, argv):
+        with pytest.raises(SystemExit, match="--ledger-dir"):
+            main(argv + ["--metrics-port", "0"])
+
+
+class TestLint:
+    DET = "import time\n\n\ndef stamp():\n    return time.time()\n"
+    UNIT = ("from repro.core.units import Bytes, Seconds\n\n\n"
+            "def budget(rtt: Seconds, size_bytes: Bytes):\n"
+            "    return rtt + size_bytes\n")
+
+    def _write(self, tmp_path, name, source):
+        path = tmp_path / name
+        path.write_text(source)
+        return str(path)
+
+    def test_clean_file(self, tmp_path, capsys):
+        path = self._write(tmp_path, "clean.py", "x = 1\n")
+        assert main(["lint", path]) == 0
+        assert "repro lint: clean" in capsys.readouterr().out
+
+    def test_det_violation_fails_and_json_names_rule(self, tmp_path, capsys):
+        path = self._write(tmp_path, "det.py", self.DET)
+        assert main(["lint", path]) == 1
+        assert "DET001" in capsys.readouterr().out
+        assert main(["lint", path, "--json"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert [f["rule"] for f in payload["findings"]] == ["DET001"]
+        assert "DET001" in payload["rules"]
+
+    def test_no_units_suppresses_unit_finding(self, tmp_path, capsys):
+        path = self._write(tmp_path, "unit.py", self.UNIT)
+        assert main(["lint", path]) == 1
+        assert "UNIT001" in capsys.readouterr().out
+        assert main(["lint", path, "--no-units"]) == 0
+        assert "repro lint: clean" in capsys.readouterr().out
+
+    def test_explain(self, capsys):
+        assert main(["lint", "--explain", "DET001"]) == 0
+        assert "wall-clock" in capsys.readouterr().out
+        assert main(["lint", "--explain", "NOPE999"]) == 2
+        assert "unknown rule" in capsys.readouterr().out
+
+    def test_missing_path_is_a_parser_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["lint", str(tmp_path / "absent.py")])
+        assert excinfo.value.code == 2
+        assert "no such path(s)" in capsys.readouterr().err
+
+    def test_module_entry_point_shares_the_parser(self, tmp_path, capsys):
+        from repro.analysis.cli import main as lint_main
+        path = self._write(tmp_path, "det.py", self.DET)
+        assert lint_main([path, "--json"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["count"] == 1
